@@ -1,6 +1,6 @@
 """OnlineSTL core: kernels, filters, circular buffers, and the algorithm."""
 from repro.core.circular import CircularArray
-from repro.core.kernels import KernelBank, kernel_vector, tricube
+from repro.core.kernels import kernel, kernel_vector, tricube
 from repro.core.online_stl import (
     DecompPoint,
     Decomposition,
@@ -10,7 +10,7 @@ from repro.core.online_stl import (
 
 __all__ = [
     "CircularArray",
-    "KernelBank",
+    "kernel",
     "kernel_vector",
     "tricube",
     "DecompPoint",

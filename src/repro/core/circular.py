@@ -57,20 +57,3 @@ class CircularArray:
         if start >= 0:
             return self._buf[start:end].copy()
         return np.concatenate([self._buf[start % self.capacity :], self._buf[:end]])
-
-    def to_array(self) -> np.ndarray:
-        """All held elements, oldest→newest."""
-        return self.view_last(self._filled)
-
-    @classmethod
-    def from_state(cls, buf: np.ndarray, head: int, filled: int) -> "CircularArray":
-        """Rehydrate from raw state (used by the Spark streaming state codec)."""
-        c = cls(len(buf))
-        c._buf = np.asarray(buf, dtype=np.float64).copy()
-        c._head = int(head)
-        c._filled = int(filled)
-        return c
-
-    def raw_state(self) -> tuple[np.ndarray, int, int]:
-        """Raw (buffer, head, filled) for serialization."""
-        return self._buf.copy(), self._head, self._filled

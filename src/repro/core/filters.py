@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.kernels import KernelBank, tricube
+from repro.core.kernels import tricube
 
 
 def trend_filter(kernel: np.ndarray, kernel_l1: float, window_vals: np.ndarray) -> float:
@@ -25,12 +25,6 @@ def trend_filter(kernel: np.ndarray, kernel_l1: float, window_vals: np.ndarray) 
     the kernel's orientation (kernel[-1] weights the newest point).
     """
     return float(kernel @ window_vals) / kernel_l1
-
-
-def trend_filter_last(bank: KernelBank, values: np.ndarray, lam: int) -> float:
-    """TF over the last ``lam`` entries of ``values`` using a kernel bank."""
-    k, l1 = bank.get(lam)
-    return trend_filter(k, l1, values[-lam:])
 
 
 def _correlate_same(y: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -5,9 +5,12 @@ The paper pre-stores, for a window ``lam``, the kernel vector
 the tri-cube kernel ``W(u) = (1 - u^3)^3`` on ``[0, 1)``. Index ``k = lam``
 is the newest point (weight 1); older points decay tri-cubically. The
 non-symmetric trend filter is then a single dot product with the last
-``lam`` points, normalized by the kernel's L1 mass.
+``lam`` points, normalized by the kernel's L1 mass. :func:`kernel` is that
+pre-store: one read-only vector per window, shared by the whole process.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -35,22 +38,14 @@ def kernel_vector(lam: int) -> np.ndarray:
     return np.asarray(tricube(np.abs(lam - k) / lam))
 
 
-class KernelBank:
-    """Cache of kernel vectors and their L1 norms keyed by window size.
+@functools.lru_cache(maxsize=None)
+def kernel(lam: int) -> tuple[np.ndarray, float]:
+    """``(k_lam, ||k_lam||_1)``, built once per process and window.
 
-    ``k_lam`` is constant for a given window (paper: "is constant throughout
-    the entirety of the algorithm"), so each OnlineSTL instance builds its
-    bank once at construction.
+    ``k_lam`` is "constant throughout the entirety of the algorithm"
+    (§4.1.1), so every OnlineSTL instance shares one read-only copy and
+    none of them stores it in its state.
     """
-
-    def __init__(self) -> None:
-        self._kernels: dict[int, tuple[np.ndarray, float]] = {}
-
-    def get(self, lam: int) -> tuple[np.ndarray, float]:
-        """Return ``(k_lam, ||k_lam||_1)``, computing and caching on first use."""
-        hit = self._kernels.get(lam)
-        if hit is None:
-            k = kernel_vector(lam)
-            hit = (k, float(np.abs(k).sum()))
-            self._kernels[lam] = hit
-        return hit
+    k = kernel_vector(lam)
+    k.flags.writeable = False
+    return k, float(np.abs(k).sum())

@@ -9,6 +9,8 @@ One instance decomposes one time series. Lifecycle:
 2. ``update(x)`` per arriving point — the O(1)-per-point online phase
    (§5.3 / Algorithm 1): alternating non-symmetric tri-cube trend filters
    and single-slot exponential seasonal updates, one pass per period.
+   ``update_many(xs)`` is the one loop over ``update`` that every bounded
+   and keyed caller goes through.
 
 State is O(4m · k) floats for max period m and k periods — independent of
 the number of points seen, as the paper requires of a streaming algorithm.
@@ -25,7 +27,7 @@ from repro.core.filters import (
     symmetric_trend_filter,
     trend_filter,
 )
-from repro.core.kernels import KernelBank
+from repro.core.kernels import kernel
 
 
 @dataclass
@@ -60,12 +62,6 @@ class OnlineSTL:
         self.gamma = float(gamma)
         self.m = max(self.periods)
         self.window = 4 * self.m
-        self._bank = KernelBank()
-        # Pre-store every kernel Algorithm 1 touches (constant per §4.1.1).
-        for p in self.periods:
-            self._bank.get(4 * p)
-            self._bank.get(3 * p)
-        self._bank.get(self.m)
         self.n_seen = 0
         self.initialized = False
         # State arrays, created by initialize():
@@ -105,7 +101,8 @@ class OnlineSTL:
             t1_series = symmetric_trend_filter(working, 2 * p)
             T1 = working - t1_series
             k_series = seasonal_smooth(T1, p, self.gamma)
-            self.K.append(CircularArray(self.window, init=k_series))
+            # Algorithm 1 only reads the last 3p entries of K_p.
+            self.K.append(CircularArray(3 * p, init=k_series[-3 * p :]))
             self.E_S.append(self._last_phase_values(k_series, p))
             trend_of_seas = symmetric_trend_filter(k_series, max(1, (3 * p) // 2))
             D5 = T1 - trend_of_seas
@@ -145,14 +142,14 @@ class OnlineSTL:
         b = float(x)
         seasonal: list[float] = []
         for idx, p in enumerate(self.periods):
-            k4, l4 = self._bank.get(4 * p)
+            k4, l4 = kernel(4 * p)
             t1 = trend_filter(k4, l4, self.A.view_last(4 * p))
             d1 = b - t1
             r = (i - 1) % p
             g = self.gamma
             self.E_S[idx][r] = g * d1 + (1.0 - g) * self.E_S[idx][r]
             self.K[idx].append(self.E_S[idx][r])
-            k3, l3 = self._bank.get(3 * p)
+            k3, l3 = kernel(3 * p)
             t4 = trend_filter(k3, l3, self.K[idx].view_last(3 * p))
             d5 = b - t1 - t4
             self.E_T[idx][r] = g * d5 + (1.0 - g) * self.E_T[idx][r]
@@ -160,10 +157,24 @@ class OnlineSTL:
             seasonal.append(s)
             b -= s  # deseasonalize for the next period
         self.D.append(b)
-        km, lm = self._bank.get(self.m)
+        km, lm = kernel(self.m)
         trend = trend_filter(km, lm, self.D.view_last(self.m))
         residual = float(x) - trend - float(np.sum(seasonal))
         return DecompPoint(trend=trend, seasonal=tuple(seasonal), residual=residual)
+
+    def update_many(self, values: np.ndarray) -> Decomposition:
+        """``update`` for each of ``values`` in order, collected as arrays."""
+        n = len(values)
+        trend = np.empty(n)
+        seasonal = [np.empty(n) for _ in self.periods]
+        residual = np.empty(n)
+        for t in range(n):
+            pt = self.update(values[t])
+            trend[t] = pt.trend
+            for j, s in enumerate(pt.seasonal):
+                seasonal[j][t] = s
+            residual[t] = pt.residual
+        return Decomposition(trend=trend, seasonal=seasonal, residual=residual)
 
     # ------------------------------------------------------------- helpers
     def state_floats(self) -> int:
@@ -182,7 +193,7 @@ def decompose_series(
 ) -> Decomposition:
     """Run OnlineSTL over a bounded series: init on the first 4m points,
     then one online update per remaining point. Convenience for tests and
-    the accuracy tables; the streaming operator uses the class directly.
+    the accuracy tables; the keyed operators drive the same two calls.
     """
     values = np.asarray(values, dtype=np.float64)
     model = OnlineSTL(periods, gamma=gamma)
@@ -193,18 +204,9 @@ def decompose_series(
             "OnlineSTL needs one full window to initialize"
         )
     head = model.initialize(values[:w])
-    n = values.size
-    trend = np.empty(n)
-    seasonal = [np.empty(n) for _ in periods]
-    residual = np.empty(n)
-    trend[:w] = head.trend
-    for j, s in enumerate(head.seasonal):
-        seasonal[j][:w] = s
-    residual[:w] = head.residual
-    for t in range(w, n):
-        pt = model.update(values[t])
-        trend[t] = pt.trend
-        for j, s in enumerate(pt.seasonal):
-            seasonal[j][t] = s
-        residual[t] = pt.residual
-    return Decomposition(trend=trend, seasonal=seasonal, residual=residual)
+    tail = model.update_many(values[w:])
+    return Decomposition(
+        trend=np.concatenate([head.trend, tail.trend]),
+        seasonal=[np.concatenate(hs) for hs in zip(head.seasonal, tail.seasonal)],
+        residual=np.concatenate([head.residual, tail.residual]),
+    )

@@ -1,14 +1,14 @@
 """Distributed keyed OnlineSTL decomposition — the Flink deployment's
 Spark Structured Streaming equivalent (paper §6, DESIGN.md substitutions).
 
-Two paths share the same per-key kernel:
+Two paths share one per-key step, :func:`_advance`:
 
 * :func:`streaming_decompose` — unbounded: ``groupBy(key)`` +
   ``applyInPandasWithState``; state is the warm-up buffer or the live
   OnlineSTL model (pickled via :mod:`repro.streaming.state_codec`). This is
   the paper's "stateful keyed map function".
 * :func:`batch_decompose` — bounded: ``groupBy(key).applyInPandas`` running
-  init + sequential updates per key, parallel across keys. Used by
+  ``_advance`` once per key on a fresh state, parallel across keys. Used by
   correctness tests (its output is oracle-checked and must equal the
   streaming path and the single-threaded core exactly).
 
@@ -33,7 +33,7 @@ from pyspark.sql.types import (
     StructType,
 )
 
-from repro.core.online_stl import OnlineSTL, decompose_series
+from repro.core.online_stl import Decomposition, OnlineSTL
 from repro.streaming.state_codec import KeyState, decode, encode
 
 
@@ -56,23 +56,18 @@ def output_schema(n_periods: int) -> StructType:
 STATE_SCHEMA = StructType([StructField("blob", BinaryType())])
 
 
-def _rows_from_arrays(
-    series_id: int,
-    ts: np.ndarray,
-    values: np.ndarray,
-    trend: np.ndarray,
-    seasonal: list[np.ndarray],
-    residual: np.ndarray,
+def _rows(
+    series_id: int, ts: np.ndarray, values: np.ndarray, d: Decomposition
 ) -> pd.DataFrame:
     cols: dict[str, np.ndarray] = {
         "series_id": np.full(len(ts), series_id, dtype=np.int64),
         "ts": np.asarray(ts, dtype=np.int64),
         "value": values,
-        "trend": trend,
+        "trend": d.trend,
     }
-    for j, s in enumerate(seasonal):
+    for j, s in enumerate(d.seasonal):
         cols[f"seasonal_{j}"] = s
-    cols["residual"] = residual
+    cols["residual"] = d.residual
     return pd.DataFrame(cols)
 
 
@@ -80,9 +75,9 @@ def _advance(
     state: KeyState, ts: np.ndarray, vals: np.ndarray, series_id: int
 ) -> pd.DataFrame:
     """Feed ordered points through a KeyState; return emitted decomposition
-    rows. Shared by the streaming and (conceptually) batch paths — the
-    warm-up buffer fills until 4m points, init emits the warm-up batch,
-    then each point is one O(1) online update."""
+    rows. Shared by the streaming and batch paths — the warm-up buffer
+    fills until 4m points, init emits the warm-up batch, then the rest go
+    through ``OnlineSTL.update_many``."""
     out: list[pd.DataFrame] = []
     window = 4 * max(state.periods)
     i = 0
@@ -94,37 +89,15 @@ def _advance(
         i = take
         if len(state.buffer_vals) == window:
             model = OnlineSTL(state.periods, gamma=state.gamma)
-            head = model.initialize(np.asarray(state.buffer_vals))
-            out.append(
-                _rows_from_arrays(
-                    series_id,
-                    np.asarray(state.buffer_ts),
-                    np.asarray(state.buffer_vals),
-                    head.trend,
-                    head.seasonal,
-                    head.residual,
-                )
-            )
+            buf_vals = np.asarray(state.buffer_vals)
+            head = model.initialize(buf_vals)
+            out.append(_rows(series_id, np.asarray(state.buffer_ts), buf_vals, head))
             state.model = model
             state.buffer_ts = []
             state.buffer_vals = []
     if state.model is not None and i < n:
-        k = len(state.periods)
-        cnt = n - i
-        trend = np.empty(cnt)
-        seasonal = [np.empty(cnt) for _ in range(k)]
-        residual = np.empty(cnt)
-        for j in range(cnt):
-            pt = state.model.update(vals[i + j])
-            trend[j] = pt.trend
-            for q in range(k):
-                seasonal[q][j] = pt.seasonal[q]
-            residual[j] = pt.residual
-        out.append(
-            _rows_from_arrays(
-                series_id, ts[i:], vals[i:], trend, seasonal, residual
-            )
-        )
+        tail = state.model.update_many(vals[i:])
+        out.append(_rows(series_id, ts[i:], vals[i:], tail))
     if not out:
         return pd.DataFrame()
     return pd.concat(out, ignore_index=True)
@@ -178,27 +151,19 @@ def batch_decompose(
     periods: list[int],
     gamma: float = 0.7,
 ) -> DataFrame:
-    """Bounded keyed decomposition: one ``decompose_series`` per key via
-    ``applyInPandas`` (keys run in parallel across cores). Keys with fewer
-    than 4m points cannot be initialized and emit no rows."""
-    schema = output_schema(len(periods))
-    window = 4 * max(periods)
+    """Bounded keyed decomposition: one :func:`_advance` per key, on a fresh
+    state, via ``applyInPandas`` (keys run in parallel across cores). Keys
+    with fewer than 4m points cannot be initialized and emit no rows."""
 
     def fn(pdf: pd.DataFrame) -> pd.DataFrame:
         pdf = pdf.sort_values("ts")
-        vals = pdf["value"].to_numpy(np.float64)
-        if vals.size < window:
-            return pd.DataFrame(
-                {f.name: pd.Series(dtype="float64") for f in schema.fields}
-            )
-        d = decompose_series(vals, periods, gamma=gamma)
-        return _rows_from_arrays(
-            int(pdf["series_id"].iloc[0]),
+        return _advance(
+            KeyState(periods=list(periods), gamma=gamma),
             pdf["ts"].to_numpy(np.int64),
-            vals,
-            d.trend,
-            d.seasonal,
-            d.residual,
+            pdf["value"].to_numpy(np.float64),
+            int(pdf["series_id"].iloc[0]),
         )
 
-    return events.groupBy("series_id").applyInPandas(fn, schema=schema)
+    return events.groupBy("series_id").applyInPandas(
+        fn, schema=output_schema(len(periods))
+    )

@@ -4,6 +4,8 @@ The streaming operator keeps one ``KeyState`` per series: either a warm-up
 buffer (until 4m points have arrived) or a live :class:`OnlineSTL` model.
 State crosses the Python-worker boundary as a single ``BinaryType`` blob —
 the model is plain numpy arrays + ints, which pickle round-trips exactly.
+It holds only Algorithm 1's arrays (A, K_p, E_S, E_T, D): the tri-cube
+kernels are rebuilt per process by :func:`repro.core.kernels.kernel`.
 An explicit versioned envelope guards against silently deserializing a
 stale layout after a code change (the usual failure mode of pickled state
 in long-running streaming jobs).
@@ -15,7 +17,8 @@ from dataclasses import dataclass, field
 
 from repro.core.online_stl import OnlineSTL
 
-_VERSION = 1
+# 2: kernels are process constants and no longer pickled; K_p holds 3p.
+_VERSION = 2
 
 
 @dataclass

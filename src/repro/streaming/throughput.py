@@ -6,10 +6,11 @@ keys and checkpointing off. Here the same stateful operator runs on Spark
 ``local[*]``: the rate source outruns the operator (back-pressure via
 ``maxOffsetsPerTrigger``-free rate batches), we let the query run for a
 fixed wall-clock duration, and derive steady-state rows/s from
-``StreamingQueryProgress`` excluding warm-up batches. Memory is reported
-two ways: the exact per-key model state (floats held × 8 bytes — the
-quantity behind the paper's "memory grows sub-linearly in seasonality"
-claim) and the driver JVM heap in use.
+``StreamingQueryProgress`` excluding warm-up batches; a query that fails
+raises its ``StreamingQueryException`` instead of reporting a rate. Memory
+is reported two ways: the exact per-key model state (floats held × 8 bytes
+— the quantity behind the paper's "memory grows sub-linearly in
+seasonality" claim) and the driver JVM heap in use.
 """
 from __future__ import annotations
 
@@ -88,7 +89,9 @@ def measure_streaming_throughput(
         .start()
     )
     try:
-        time.sleep(run_seconds)
+        # Returns after run_seconds; raises at once if the query has failed,
+        # so a crashed query is never reported as 0 rows/s.
+        query.awaitTermination(run_seconds)
         progress = [p for p in query.recentProgress if p is not None]
     finally:
         try:

@@ -59,11 +59,11 @@ class TestAppendAndView:
         v[0] = 99.0
         assert c.view_last(3)[0] == 1.0
 
-    def test_to_array_before_full(self):
+    def test_view_all_before_full(self):
         c = CircularArray(5)
         c.append(1.0)
         c.append(2.0)
-        assert c.to_array().tolist() == [1.0, 2.0]
+        assert c.view_last(len(c)).tolist() == [1.0, 2.0]
 
     @given(
         st.integers(min_value=1, max_value=20),
@@ -76,27 +76,5 @@ class TestAppendAndView:
         for x in xs:
             c.append(x)
             ref.append(x)
-            assert c.to_array().tolist() == pytest.approx(list(ref))
+            assert c.view_last(len(c)).tolist() == pytest.approx(list(ref))
 
-
-class TestStateRoundtrip:
-    def test_raw_state_roundtrip(self):
-        c = CircularArray(4, init=np.array([1.0, 2.0, 3.0, 4.0]))
-        c.append(5.0)
-        buf, head, filled = c.raw_state()
-        c2 = CircularArray.from_state(buf, head, filled)
-        assert c2.view_last(4).tolist() == c.view_last(4).tolist()
-
-    def test_roundtrip_preserves_future_appends(self):
-        c = CircularArray(3, init=np.array([1.0, 2.0, 3.0]))
-        c.append(4.0)
-        c2 = CircularArray.from_state(*c.raw_state())
-        c.append(5.0)
-        c2.append(5.0)
-        assert c.to_array().tolist() == c2.to_array().tolist()
-
-    def test_raw_state_buffer_is_copy(self):
-        c = CircularArray(2, init=np.array([1.0, 2.0]))
-        buf, _, _ = c.raw_state()
-        buf[0] = 42.0
-        assert c.view_last(2).tolist() == [1.0, 2.0]

@@ -8,9 +8,8 @@ from repro.core.filters import (
     seasonal_smooth,
     symmetric_trend_filter,
     trend_filter,
-    trend_filter_last,
 )
-from repro.core.kernels import KernelBank, kernel_vector, tricube
+from repro.core.kernels import kernel_vector, tricube
 
 
 def _symmetric_reference(values: np.ndarray, window: int) -> np.ndarray:
@@ -49,13 +48,6 @@ class TestTrendFilter:
         vals[-1] = 1.0
         k = kernel_vector(lam)
         assert trend_filter(k, float(np.abs(k).sum()), vals) > 1.0 / lam
-
-    def test_trend_filter_last_uses_suffix(self):
-        bank = KernelBank()
-        vals = np.array([100.0, 100.0, 1.0, 2.0, 3.0])
-        out = trend_filter_last(bank, vals, 3)
-        k = kernel_vector(3)
-        assert out == pytest.approx(float(k @ vals[-3:]) / float(np.abs(k).sum()))
 
     @given(st.integers(min_value=1, max_value=60))
     @settings(max_examples=25)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.kernels import KernelBank, kernel_vector, tricube
+from repro.core.kernels import kernel, kernel_vector, tricube
 
 
 class TestTricube:
@@ -84,20 +84,23 @@ class TestKernelVector:
         assert 0 < l1 <= lam
 
 
-class TestKernelBank:
+class TestKernel:
     def test_caches_identity(self):
-        bank = KernelBank()
-        k1, _ = bank.get(10)
-        k2, _ = bank.get(10)
+        k1, _ = kernel(10)
+        k2, _ = kernel(10)
         assert k1 is k2
 
     def test_l1_matches(self):
-        bank = KernelBank()
-        k, l1 = bank.get(12)
+        k, l1 = kernel(12)
         assert l1 == pytest.approx(np.abs(k).sum())
 
     def test_distinct_windows_distinct_kernels(self):
-        bank = KernelBank()
-        k10, _ = bank.get(10)
-        k20, _ = bank.get(20)
+        k10, _ = kernel(10)
+        k20, _ = kernel(20)
         assert k10.shape != k20.shape
+
+    def test_read_only(self):
+        k, _ = kernel(8)
+        assert not k.flags.writeable
+        with pytest.raises(ValueError):
+            k[0] = 0.0

@@ -108,6 +108,12 @@ class TestStateSize:
             sizes[p] = m.state_floats()
         assert sizes[100] == pytest.approx(10 * sizes[10], rel=0.05)
 
+    def test_one_period_holds_10m_floats(self):
+        """A (4m) + K_p (3p, all Algorithm 1 reads) + E_S, E_T, D (m each)."""
+        model = OnlineSTL([10])
+        model.initialize(np.zeros(40))
+        assert model.state_floats() == 100
+
     def test_uninitialized_state_empty(self):
         assert OnlineSTL([9]).state_floats() == 0
 
@@ -181,6 +187,30 @@ class TestRecovery:
         assert np.corrcoef(combined[tail], (s1 + s2)[tail])[0, 1] > 0.99
         assert np.corrcoef(d.seasonal[0][tail], s1[tail])[0, 1] > 0.85
         assert np.corrcoef(d.seasonal[1][tail], s2[tail])[0, 1] > 0.6
+
+
+class TestUpdateMany:
+    def test_equals_per_point_updates(self):
+        periods = [4, 6]
+        y = _series(24 + 40, periods, seed=8)
+        many, single = OnlineSTL(periods), OnlineSTL(periods)
+        many.initialize(y[:24])
+        single.initialize(y[:24])
+        got = many.update_many(y[24:])
+        for t, x in enumerate(y[24:]):
+            pt = single.update(x)
+            assert got.trend[t] == pt.trend
+            assert tuple(s[t] for s in got.seasonal) == pt.seasonal
+            assert got.residual[t] == pt.residual
+        assert many.n_seen == single.n_seen
+
+    def test_empty_input(self):
+        model = OnlineSTL([5])
+        model.initialize(np.zeros(20))
+        d = model.update_many(np.array([]))
+        assert d.trend.shape == (0,)
+        assert len(d.seasonal) == 1
+        assert model.n_seen == 20
 
 
 class TestDecomposeSeriesShape:

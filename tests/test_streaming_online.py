@@ -4,6 +4,7 @@ micro-batch boundaries, with state round-tripping through the codec."""
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.errors import StreamingQueryException
 
 from repro.streaming import (
     KeyState,
@@ -13,6 +14,7 @@ from repro.streaming import (
     replay_files,
     streaming_decompose,
 )
+from repro.streaming import measure_streaming_throughput, state_codec
 from repro.streaming.keyed_decompose import _advance
 from repro.core import OnlineSTL, decompose_series
 from repro.synth_data import metric_events_pdf
@@ -58,9 +60,18 @@ class TestStateCodec:
     def test_type_guard(self):
         import pickle
 
-        blob = pickle.dumps((1, {"not": "a KeyState"}))
+        blob = pickle.dumps((state_codec._VERSION, {"not": "a KeyState"}))
         with pytest.raises(TypeError):
             decode(blob)
+
+    def test_live_blob_holds_only_model_floats(self):
+        """No kernels or spare ring slots: the blob is the model's floats
+        plus a small pickle envelope."""
+        rng = np.random.default_rng(0)
+        ks = KeyState(periods=[1440], gamma=0.7)
+        _advance(ks, np.arange(4 * 1440 + 8), rng.normal(size=4 * 1440 + 8), 0)
+        assert ks.model is not None
+        assert len(encode(ks)) <= 1.02 * ks.model.state_floats() * 8
 
 
 class TestAdvance:
@@ -187,3 +198,14 @@ class TestStreamingEndToEnd:
             .reset_index(drop=True)
         )
         pd.testing.assert_frame_equal(got, want[got.columns], check_dtype=False)
+
+
+@pytest.mark.spark
+class TestThroughputHarness:
+    def test_crashed_query_raises(self, spark):
+        """OnlineSTL([1]) raises on init in the worker; the harness must
+        surface that instead of reporting 0 rows/s."""
+        with pytest.raises(StreamingQueryException, match="periods must be >= 2"):
+            measure_streaming_throughput(
+                spark, seasonality=1, n_keys=2, run_seconds=120, rows_per_batch=16
+            )

@@ -5,13 +5,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.oracle import assert_equivalent
-from repro.synth_data import (
-    lineitem,
-    metric_events,
-    metric_events_pdf,
-    uniform_keys,
-    zipf_keys,
-)
+from repro.synth_data import metric_events_pdf
 
 
 class TestMetricEventsPdf:
@@ -49,15 +43,6 @@ class TestMetricEventsPdf:
 
 @pytest.mark.spark
 class TestMetricEventsSpark:
-    def test_counts_per_key_oracle(self, spark):
-        ev = metric_events(spark, n_keys=5, points_per_key=30, periods=[7])
-        got = ev.groupBy("series_id").agg(F.count("*").alias("n"))
-        assert_equivalent(
-            got,
-            "SELECT series_id, count(*) AS n FROM ev GROUP BY series_id",
-            ev=metric_events_pdf(n_keys=5, points_per_key=30, periods=[7]),
-        )
-
     def test_value_stats_oracle(self, spark):
         pdf = metric_events_pdf(n_keys=4, points_per_key=25, periods=[5], seed=9)
         ev = spark.createDataFrame(pdf)
@@ -72,23 +57,3 @@ class TestMetricEventsSpark:
             ev=pdf,
         )
 
-
-@pytest.mark.spark
-class TestProvidedGenerators:
-    """The provided TPC-H-lite generators stay usable (regression guard)."""
-
-    def test_lineitem_rowcount(self, spark):
-        df = lineitem(spark, sf=0.001)
-        assert df.count() == 6000
-
-    def test_zipf_skewed(self, spark):
-        df = zipf_keys(spark, n=5000, n_keys=100)
-        top = (
-            df.groupBy("k").count().orderBy(F.desc("count")).limit(1).collect()
-        )
-        assert top[0]["count"] > 5000 / 100 * 3  # heavy head
-
-    def test_uniform_key_range(self, spark):
-        df = uniform_keys(spark, n=1000, n_keys=10)
-        mn, mx = df.agg(F.min("k"), F.max("k")).first()
-        assert 1 <= mn and mx <= 10
