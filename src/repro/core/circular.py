@@ -2,8 +2,9 @@
 
 OnlineSTL maintains fixed-size sliding windows (A, K_p, D). UPDATEARRAY
 "replaces the oldest element with y" (notation item 9). We keep a write
-cursor so append is O(1); ``view_last(w)`` materializes the most recent
-``w`` elements in time order for the trend-filter dot products.
+cursor so append is O(1); ``extend`` is the same write for a block of
+values; ``view_last(w)`` materializes the most recent ``w`` elements in
+time order for the trend-filter dot products.
 """
 from __future__ import annotations
 
@@ -42,6 +43,23 @@ class CircularArray:
         self._head = (self._head + 1) % self.capacity
         if self._filled < self.capacity:
             self._filled += 1
+
+    def extend(self, values: np.ndarray) -> None:
+        """``append`` each of ``values`` in order, as one or two slice writes.
+
+        Leaves the buffer, cursor and fill count exactly as the appends
+        would, so the stored layout does not depend on how points were
+        grouped into calls.
+        """
+        values = np.asarray(values, dtype=np.float64)
+        n = values.size
+        kept = values[-self.capacity :]
+        start = (self._head + n - kept.size) % self.capacity
+        first = min(kept.size, self.capacity - start)
+        self._buf[start : start + first] = kept[:first]
+        self._buf[: kept.size - first] = kept[first:]
+        self._head = (self._head + n) % self.capacity
+        self._filled = min(self.capacity, self._filled + n)
 
     def view_last(self, w: int) -> np.ndarray:
         """The most recent ``w`` elements, oldest→newest (a copy).

@@ -2,7 +2,8 @@
 
 ``trend_filter`` is the non-symmetric tri-cube kernel filter TF(k_lam, X_t):
 a normalized dot product of the pre-stored kernel with the last ``lam``
-points. ``symmetric_trend_filter`` is the batch variant used only during
+points; ``sliding_trend_filter`` is the same filter at every point of a
+block. ``symmetric_trend_filter`` is the batch variant used only during
 initialization, looking ``w/2`` points to each side (truncated at the
 boundaries, which is the standard loess edge behaviour).
 
@@ -25,6 +26,30 @@ def trend_filter(kernel: np.ndarray, kernel_l1: float, window_vals: np.ndarray) 
     the kernel's orientation (kernel[-1] weights the newest point).
     """
     return float(kernel @ window_vals) / kernel_l1
+
+
+# Below this many taps np.correlate runs its own small-kernel loop, which
+# sums in a different order from ``kernel @ window`` (BLAS ddot); from here
+# up each of its outputs is that same ddot call.
+_CORRELATE_MIN_TAPS = 12
+
+
+def sliding_trend_filter(
+    kernel: np.ndarray, kernel_l1: float, ext: np.ndarray
+) -> np.ndarray:
+    """``trend_filter`` over every ``lam``-long window of ``ext``, in order.
+
+    ``ext`` is the ``lam - 1`` points before a block followed by the block,
+    so output ``t`` is the filter at the block's ``t``-th point. Each output
+    is bit-identical to ``trend_filter(kernel, kernel_l1, ext[t:t + lam])``.
+    """
+    lam = kernel.size
+    if ext.size < lam:  # empty block; np.correlate would swap its arguments
+        return np.empty(0)
+    if lam >= _CORRELATE_MIN_TAPS:
+        return np.correlate(ext, kernel, "valid") / kernel_l1
+    dots = [kernel @ ext[t : t + lam] for t in range(ext.size - lam + 1)]
+    return np.array(dots, dtype=np.float64) / kernel_l1
 
 
 def _correlate_same(y: np.ndarray, w: np.ndarray) -> np.ndarray:

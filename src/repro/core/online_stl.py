@@ -9,8 +9,9 @@ One instance decomposes one time series. Lifecycle:
 2. ``update(x)`` per arriving point — the O(1)-per-point online phase
    (§5.3 / Algorithm 1): alternating non-symmetric tri-cube trend filters
    and single-slot exponential seasonal updates, one pass per period.
-   ``update_many(xs)`` is the one loop over ``update`` that every bounded
-   and keyed caller goes through.
+   ``update_many(xs)`` is the same algorithm over a block of points in
+   numpy, bit-identical to ``update`` per point; every bounded and keyed
+   caller goes through it.
 
 State is O(4m · k) floats for max period m and k periods — independent of
 the number of points seen, as the paper requires of a streaming algorithm.
@@ -24,6 +25,7 @@ import numpy as np
 from repro.core.circular import CircularArray
 from repro.core.filters import (
     seasonal_smooth,
+    sliding_trend_filter,
     symmetric_trend_filter,
     trend_filter,
 )
@@ -163,18 +165,67 @@ class OnlineSTL:
         return DecompPoint(trend=trend, seasonal=tuple(seasonal), residual=residual)
 
     def update_many(self, values: np.ndarray) -> Decomposition:
-        """``update`` for each of ``values`` in order, collected as arrays."""
-        n = len(values)
-        trend = np.empty(n)
-        seasonal = [np.empty(n) for _ in self.periods]
-        residual = np.empty(n)
-        for t in range(n):
-            pt = self.update(values[t])
-            trend[t] = pt.trend
-            for j, s in enumerate(pt.seasonal):
-                seasonal[j][t] = s
-            residual[t] = pt.residual
+        """Algorithm 1 over a block of points: the outputs and final state
+        of ``update`` on each of ``values`` in order, bit for bit.
+
+        Period q reads only the raw points (t1 over A) and what the periods
+        before it subtracted, so each period runs over the whole block in
+        turn: t1 and t4 are sliding filters, and E_S, E_T are updated in runs
+        of p points, within which every phase r = (i - 1) mod p is distinct.
+        """
+        if not self.initialized:
+            raise RuntimeError("update() before initialize()")
+        assert self.A is not None and self.D is not None
+        values = np.asarray(values, dtype=np.float64)
+        n = values.size
+        b = values  # deseasonalized by the periods done so far
+        seasonal: list[np.ndarray] = []
+        for idx, p in enumerate(self.periods):
+            phase = (self.n_seen + np.arange(n)) % p
+            k4, l4 = kernel(4 * p)
+            t1 = sliding_trend_filter(
+                k4, l4, np.concatenate([self.A.view_last(4 * p - 1), values])
+            )
+            d1 = b - t1
+            es = self._smooth_phases(self.E_S[idx], d1, phase, p)
+            k3, l3 = kernel(3 * p)
+            t4 = sliding_trend_filter(
+                k3, l3, np.concatenate([self.K[idx].view_last(3 * p - 1), es])
+            )
+            self.K[idx].extend(es)
+            s = self._smooth_phases(self.E_T[idx], d1 - t4, phase, p)
+            seasonal.append(s)
+            b = b - s
+        self.A.extend(values)
+        km, lm = kernel(self.m)
+        trend = sliding_trend_filter(
+            km, lm, np.concatenate([self.D.view_last(self.m - 1), b])
+        )
+        self.D.extend(b)
+        self.n_seen += n
+        # Row-wise over (point, period), like update's np.sum per point; a
+        # sum over axis 0 would add the periods in another order from 8 up.
+        residual = values - trend - np.stack(seasonal, axis=1).sum(axis=1)
         return Decomposition(trend=trend, seasonal=seasonal, residual=residual)
+
+    def _smooth_phases(
+        self, E: np.ndarray, d: np.ndarray, phase: np.ndarray, p: int
+    ) -> np.ndarray:
+        """``E[r] = γ·d + (1-γ)·E[r]`` at each point in turn (Algorithm 1
+        lines 9 and 13); returns ``E[r]`` after each point.
+
+        Any p consecutive points have distinct phases, so each run of p
+        reads E, or the run before it, elementwise.
+        """
+        g = self.gamma
+        out = np.empty_like(d)
+        head = min(d.size, p)
+        out[:head] = g * d[:head] + (1.0 - g) * E[phase[:head]]
+        for lo in range(p, d.size, p):
+            hi = min(lo + p, d.size)
+            out[lo:hi] = g * d[lo:hi] + (1.0 - g) * out[lo - p : hi - p]
+        E[phase[d.size - head :]] = out[d.size - head :]
+        return out
 
     # ------------------------------------------------------------- helpers
     def state_floats(self) -> int:

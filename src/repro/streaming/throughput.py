@@ -6,22 +6,25 @@ keys and checkpointing off. Here the same stateful operator runs on Spark
 ``local[*]``: the rate source outruns the operator (back-pressure via
 ``maxOffsetsPerTrigger``-free rate batches), we let the query run for a
 fixed wall-clock duration, and derive steady-state rows/s from
-``StreamingQueryProgress`` excluding warm-up batches; a query that fails
-raises its ``StreamingQueryException`` instead of reporting a rate. Memory
-is reported two ways: the exact per-key model state (floats held × 8 bytes
-— the quantity behind the paper's "memory grows sub-linearly in
+``StreamingQueryProgress`` excluding warm-up batches, as Σrows / Σduration;
+a query that fails raises its ``StreamingQueryException`` instead of
+reporting a rate. Memory is reported two ways: the stored bytes of one
+live key (the quantity behind the paper's "memory grows sub-linearly in
 seasonality" claim) and the driver JVM heap in use.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Iterable, Mapping
 
+import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.core.online_stl import OnlineSTL
 from repro.streaming.keyed_decompose import streaming_decompose
 from repro.streaming.source import rate_events
+from repro.streaming.state_codec import KeyState, encode
 
 
 @dataclass
@@ -40,13 +43,27 @@ class ThroughputResult:
 
 
 def state_bytes_per_key(period: int, gamma: float = 0.7) -> int:
-    """Exact serialized-model float count × 8 for one key at steady state."""
-    import numpy as np
-
+    """Stored state bytes of one live key: ``len(encode(ks))``."""
     model = OnlineSTL([period], gamma=gamma)
-    rng = np.random.default_rng(0)
-    model.initialize(rng.normal(size=model.window))
-    return model.state_floats() * 8
+    model.initialize(np.random.default_rng(0).normal(size=model.window))
+    return len(encode(KeyState(periods=[period], gamma=gamma, model=model)))
+
+
+def steady_rows_per_sec(
+    progress: Iterable[Mapping], warmup_rows: int
+) -> tuple[float, int]:
+    """Σrows / Σduration over the batches that start after ``warmup_rows``
+    input rows, and how many batches that is. Batches with no rows or no
+    duration are skipped."""
+    seen = rows = dur_ms = batches = 0
+    for p in progress:
+        n, ms = p["numInputRows"] or 0, p["batchDuration"]
+        if seen >= warmup_rows and n and ms:
+            rows += n
+            dur_ms += ms
+            batches += 1
+        seen += n
+    return (rows / (dur_ms / 1000.0) if dur_ms else 0.0), batches
 
 
 def _jvm_heap_mb(spark: SparkSession) -> float:
@@ -98,17 +115,8 @@ def measure_streaming_throughput(
             query.stop()
         except Exception:  # noqa: BLE001 — stop() interrupting a mid-batch
             pass  # commit raises spuriously; measurements are already taken
-    warmup_rows = 4 * seasonality * n_keys
-    seen = 0
-    rates = []
-    for p in progress:
-        rows = p["numInputRows"]
-        dur_ms = p["batchDuration"]
-        if seen >= warmup_rows and rows and dur_ms:
-            rates.append(rows / (dur_ms / 1000.0))
-        seen += rows or 0
+    total, batches = steady_rows_per_sec(progress, 4 * seasonality * n_keys)
     cores = min(spark.sparkContext.defaultParallelism, n_keys)
-    total = sum(rates) / len(rates) if rates else 0.0
     spk = state_bytes_per_key(seasonality)
     return ThroughputResult(
         seasonality=seasonality,
@@ -119,5 +127,5 @@ def measure_streaming_throughput(
         state_bytes_per_key=spk,
         total_state_mb=spk * n_keys / (1 << 20),
         jvm_heap_mb=_jvm_heap_mb(spark),
-        batches_measured=len(rates),
+        batches_measured=batches,
     )

@@ -78,3 +78,22 @@ class TestAppendAndView:
             ref.append(x)
             assert c.view_last(len(c)).tolist() == pytest.approx(list(ref))
 
+
+class TestExtend:
+    @given(
+        st.integers(min_value=1, max_value=20),
+        st.integers(min_value=0, max_value=25),
+        st.lists(st.integers(min_value=0, max_value=45), max_size=6),
+    )
+    def test_matches_appends(self, cap, prefill, blocks):
+        """extend leaves buffer, cursor and fill count as appends would."""
+        ext, app = CircularArray(cap), CircularArray(cap)
+        x = 0.0
+        for size in [prefill, *blocks]:
+            block = np.arange(x, x + size)
+            x += size
+            ext.extend(block)
+            for y in block:
+                app.append(y)
+            assert ext._buf.tolist() == app._buf.tolist()
+            assert (ext._head, len(ext)) == (app._head, len(app))

@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 
 from repro.core.filters import (
     seasonal_smooth,
+    sliding_trend_filter,
     symmetric_trend_filter,
     trend_filter,
 )
-from repro.core.kernels import kernel_vector, tricube
+from repro.core.kernels import kernel, kernel_vector, tricube
 
 
 def _symmetric_reference(values: np.ndarray, window: int) -> np.ndarray:
@@ -57,6 +58,24 @@ class TestTrendFilter:
         k = kernel_vector(lam)
         out = trend_filter(k, float(np.abs(k).sum()), vals)
         assert vals.min() - 1e-12 <= out <= vals.max() + 1e-12
+
+
+class TestSlidingTrendFilter:
+    @given(
+        st.integers(min_value=1, max_value=60),
+        st.integers(min_value=0, max_value=40),
+        st.sampled_from([1e-3, 1.0, 1e6]),
+    )
+    @settings(max_examples=60)
+    def test_bit_identical_to_trend_filter(self, lam, n, scale):
+        """Each output is exactly trend_filter over its window, on both
+        sides of np.correlate's small-kernel switch."""
+        rng = np.random.default_rng(lam * 100 + n)
+        ext = rng.normal(size=lam - 1 + n) * scale
+        k, l1 = kernel(lam)
+        got = sliding_trend_filter(k, l1, ext)
+        want = [trend_filter(k, l1, ext[t : t + lam]) for t in range(n)]
+        assert got.tolist() == want
 
 
 class TestSymmetricTrendFilter:

@@ -5,6 +5,7 @@ spark-submit; the scripts share the session builder in jobs/_session.py,
 and getOrCreate() reuses the test session's JVM when one exists).
 """
 import importlib
+import json
 import runpy
 import sys
 from pathlib import Path
@@ -97,3 +98,18 @@ def test_run_table2_job_single_seasonality(job_session, capsys):
     out = capsys.readouterr().out
     assert "seasonality" in out
     assert "paper" in out
+
+
+def test_bench_core_job(tmp_path):
+    out = tmp_path / "BENCH_core.json"
+    for label in ("a", "b"):
+        _run_job(
+            "bench_core.py",
+            ["--label", label, "--out", str(out), "--periods", "10",
+             "--seconds", "0.01", "--repeats", "1"],
+        )
+    doc = json.loads(out.read_text())
+    assert sorted(doc["runs"]) == ["a", "b"]
+    res = doc["runs"]["b"]["results"]["10"]
+    assert res["update_many_1024_pts_per_s"]["median"] > 0
+    assert doc["runs"]["b"]["host"]["cores"] >= 1

@@ -1,6 +1,8 @@
 """Tests for the OnlineSTL core algorithm (paper §5, Algorithm 1)."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import OnlineSTL, decompose_series
 
@@ -204,6 +206,50 @@ class TestUpdateMany:
             assert got.residual[t] == pt.residual
         assert many.n_seen == single.n_seen
 
+    @staticmethod
+    def _state(model):
+        rings = [model.A, *model.K, model.D]
+        return (
+            [e.tolist() for e in model.E_S],
+            [e.tolist() for e in model.E_T],
+            [(c._buf.tolist(), c._head, len(c)) for c in rings],
+            model.n_seen,
+        )
+
+    @given(
+        periods=st.lists(st.integers(2, 40), min_size=1, max_size=3),
+        scale=st.sampled_from([1e-3, 1.0, 1e6]),
+        n=st.integers(0, 240),
+        chunks=st.lists(st.integers(1, 80), min_size=1, max_size=12),
+        seed=st.integers(0, 2**16),
+    )
+    # Windows under 12 taps (np.correlate's small-kernel path) everywhere,
+    # and runs of p whose phases wrap mid-block.
+    @example(periods=[2, 3], scale=1.0, n=50, chunks=[5, 1, 7], seed=0)
+    @example(periods=[40, 2, 11], scale=1e6, n=240, chunks=[33, 80], seed=1)
+    @settings(max_examples=60, deadline=None)
+    def test_chunked_equals_per_point(self, periods, scale, n, chunks, seed):
+        """Outputs and final E_S, E_T, A, K, D equal per-point update's bit
+        for bit, whatever the periods' order, scale and chunking."""
+        rng = np.random.default_rng(seed)
+        m = max(periods)
+        t = np.arange(4 * m + n)
+        y = scale * (rng.normal(size=t.size) + np.sin(2 * np.pi * t / periods[0]))
+        many, single = OnlineSTL(periods), OnlineSTL(periods)
+        many.initialize(y[: 4 * m])
+        single.initialize(y[: 4 * m])
+        got, i, c = [], 4 * m, 0
+        while i < y.size:
+            d = many.update_many(y[i : i + chunks[c % len(chunks)]])
+            got += zip(d.trend, zip(*d.seasonal), d.residual)
+            i += d.trend.size
+            c += 1
+        want = [single.update(x) for x in y[4 * m :]]
+        assert [(float(tr), tuple(map(float, s)), float(r)) for tr, s, r in got] == [
+            (w.trend, tuple(map(float, w.seasonal)), w.residual) for w in want
+        ]
+        assert self._state(many) == self._state(single)
+
     def test_empty_input(self):
         model = OnlineSTL([5])
         model.initialize(np.zeros(20))
@@ -231,9 +277,9 @@ class TestDecomposeSeriesShape:
         model.initialize(y[:24])
         for t in range(24, y.size):
             pt = model.update(y[t])
-            assert d.trend[t] == pytest.approx(pt.trend)
-            assert d.seasonal[0][t] == pytest.approx(pt.seasonal[0])
-            assert d.residual[t] == pytest.approx(pt.residual)
+            assert d.trend[t] == pt.trend
+            assert d.seasonal[0][t] == pt.seasonal[0]
+            assert d.residual[t] == pt.residual
 
     def test_gamma_passthrough(self):
         y = _series(24 + 30, [6], seed=7)

@@ -14,7 +14,12 @@ from repro.streaming import (
     replay_files,
     streaming_decompose,
 )
-from repro.streaming import measure_streaming_throughput, state_codec
+from repro.streaming import (
+    measure_streaming_throughput,
+    state_bytes_per_key,
+    state_codec,
+)
+from repro.streaming.throughput import steady_rows_per_sec
 from repro.streaming.keyed_decompose import _advance
 from repro.core import OnlineSTL, decompose_series
 from repro.synth_data import metric_events_pdf
@@ -198,6 +203,31 @@ class TestStreamingEndToEnd:
             .reset_index(drop=True)
         )
         pd.testing.assert_frame_equal(got, want[got.columns], check_dtype=False)
+
+
+class TestThroughputAccounting:
+    def test_rows_over_duration_not_mean_of_rates(self):
+        """Two steady batches of 100 rows in 0.1 s and 0.9 s: 200 rows/s,
+        where the mean of per-batch rates would say 555."""
+        progress = [
+            {"numInputRows": 400, "batchDuration": 5000},  # warm-up
+            {"numInputRows": 100, "batchDuration": 100},
+            {"numInputRows": 0, "batchDuration": 50},
+            {"numInputRows": 100, "batchDuration": 900},
+            {"numInputRows": 100, "batchDuration": None},
+        ]
+        assert steady_rows_per_sec(progress, warmup_rows=400) == (200.0, 2)
+
+    def test_no_steady_batch(self):
+        progress = [{"numInputRows": 40, "batchDuration": 900}]
+        assert steady_rows_per_sec(progress, warmup_rows=40) == (0.0, 0)
+
+    def test_state_bytes_are_a_live_keys_blob(self):
+        ks = KeyState(periods=PERIODS, gamma=0.7)
+        vals = np.random.default_rng(0).normal(size=WINDOW + 3)
+        _advance(ks, np.arange(vals.size), vals, 1)
+        assert ks.model is not None
+        assert state_bytes_per_key(PERIODS[0]) == len(encode(ks))
 
 
 @pytest.mark.spark
