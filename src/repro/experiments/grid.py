@@ -18,6 +18,7 @@ from pyspark.sql.types import DoubleType, LongType, StringType, StructField, Str
 
 from repro.baselines import REGISTRY, online_counterpart
 from repro.core import Decomposition, decompose_series
+from repro.streaming.worker_imports import keep_zip_directories
 
 #: Table-3/4 column order for the batch algorithms (paper's order).
 BATCH_ALGOS = ["stl", "SSA", "STR", "TBATS", "RobustSTL"]
@@ -135,6 +136,7 @@ def run_grid(
     spec_df = spark.createDataFrame(spec)
 
     def eval_one(pdf: pd.DataFrame) -> pd.DataFrame:
+        keep_zip_directories()
         out = []
         for _, c in pdf.iterrows():
             values, periods, truth = loader(c["dataset"])

@@ -24,15 +24,15 @@ PAPER_TABLE2 = {
 }
 
 # Keys scaled down from the paper's 100K so per-key warm-up (4m points)
-# completes within a short measured run on 16 cores.
+# completes within a short measured run.
 DEFAULT_KEYS = {10: 512, 100: 256, 1000: 64, 10000: 8}
 
-# Micro-batch sizes tuned so a steady-state batch takes ~0.5-2s at each
-# seasonality (throughput falls as seasonality grows, so batches shrink),
-# and run lengths long enough to clear warm-up (4·m points × keys) and
-# still measure several steady batches.
+# Micro-batch sizes shrink as seasonality grows (throughput falls). Run
+# lengths clear warm-up (4·m points × keys) and still measure several steady
+# batches on a 4-core host, where a steady batch takes 3-7 s and the first
+# batch of the first query, which also starts the Python workers, up to 17 s.
 DEFAULT_ROWS_PER_BATCH = {10: 200_000, 100: 200_000, 1000: 100_000, 10000: 40_000}
-DEFAULT_RUN_SECONDS = {10: 20.0, 100: 20.0, 1000: 20.0, 10000: 45.0}
+DEFAULT_RUN_SECONDS = {10: 60.0, 100: 45.0, 1000: 60.0, 10000: 60.0}
 
 
 @dataclass

@@ -35,6 +35,7 @@ from pyspark.sql.types import (
 
 from repro.core.online_stl import Decomposition, OnlineSTL
 from repro.streaming.state_codec import KeyState, decode, encode
+from repro.streaming.worker_imports import keep_zip_directories
 
 
 def output_schema(n_periods: int) -> StructType:
@@ -115,6 +116,7 @@ def streaming_decompose(
     def fn(
         key: tuple, pdfs: Iterable[pd.DataFrame], state: GroupState
     ) -> Iterator[pd.DataFrame]:
+        keep_zip_directories()
         (series_id,) = key
         if state.exists:
             (blob,) = state.get
@@ -156,6 +158,7 @@ def batch_decompose(
     with fewer than 4m points cannot be initialized and emit no rows."""
 
     def fn(pdf: pd.DataFrame) -> pd.DataFrame:
+        keep_zip_directories()
         pdf = pdf.sort_values("ts")
         return _advance(
             KeyState(periods=list(periods), gamma=gamma),

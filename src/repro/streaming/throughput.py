@@ -7,7 +7,8 @@ keys and checkpointing off. Here the same stateful operator runs on Spark
 ``maxOffsetsPerTrigger``-free rate batches), we let the query run for a
 fixed wall-clock duration, and derive steady-state rows/s from
 ``StreamingQueryProgress`` excluding warm-up batches, as Σrows / Σduration;
-a query that fails raises its ``StreamingQueryException`` instead of
+a query that fails raises its ``StreamingQueryException``, and one that
+finishes no batch after warm-up raises ``RuntimeError``, instead of
 reporting a rate. Memory is reported two ways: the stored bytes of one
 live key (the quantity behind the paper's "memory grows sub-linearly in
 seasonality" claim) and the driver JVM heap in use.
@@ -115,7 +116,16 @@ def measure_streaming_throughput(
             query.stop()
         except Exception:  # noqa: BLE001 — stop() interrupting a mid-batch
             pass  # commit raises spuriously; measurements are already taken
-    total, batches = steady_rows_per_sec(progress, 4 * seasonality * n_keys)
+    warmup_rows = 4 * seasonality * n_keys
+    total, batches = steady_rows_per_sec(progress, warmup_rows)
+    if not batches:
+        seen = sum(p["numInputRows"] or 0 for p in progress)
+        raise RuntimeError(
+            f"no steady-state batch in {run_seconds:g} s at seasonality "
+            f"{seasonality} with {n_keys} keys: warm-up needs {warmup_rows} "
+            f"rows, {len(progress)} batches brought {seen}; run longer or "
+            "use fewer keys"
+        )
     cores = min(spark.sparkContext.defaultParallelism, n_keys)
     spk = state_bytes_per_key(seasonality)
     return ThroughputResult(

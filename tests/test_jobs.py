@@ -93,8 +93,16 @@ def test_streaming_demo_job(job_session, capsys):
 
 @pytest.mark.spark
 @pytest.mark.slow
-def test_run_table2_job_single_seasonality(job_session, capsys):
-    _run_job("run_table2.py", ["8", "10"])
+def test_run_table2_job_single_seasonality(job_session, capsys, monkeypatch):
+    # Tiny scale, and long enough for a steady batch after the warm-up one:
+    # the test session's 64 shuffle partitions make each micro-batch take
+    # seconds however few rows it has, and the harness raises when it
+    # measured no steady batch.
+    import repro.experiments.table2 as t2
+
+    monkeypatch.setattr(t2, "DEFAULT_KEYS", {10: 16})
+    monkeypatch.setattr(t2, "DEFAULT_ROWS_PER_BATCH", {10: 2048})
+    _run_job("run_table2.py", ["25", "10"])
     out = capsys.readouterr().out
     assert "seasonality" in out
     assert "paper" in out

@@ -239,3 +239,11 @@ class TestThroughputHarness:
             measure_streaming_throughput(
                 spark, seasonality=1, n_keys=2, run_seconds=120, rows_per_batch=16
             )
+
+    def test_unfinished_warmup_raises(self, spark):
+        """Warm-up needs 4·10⁴·2 rows; 16-row batches cannot bring them in
+        3 s, so no steady batch is measured and no rate may be reported."""
+        with pytest.raises(RuntimeError, match="no steady-state batch"):
+            measure_streaming_throughput(
+                spark, seasonality=10_000, n_keys=2, run_seconds=3, rows_per_batch=16
+            )
